@@ -1,8 +1,8 @@
 """Paper-vs-measured comparison rows.
 
-EXPERIMENTS.md reports, for every table and figure, the value the paper quotes
+For every table and figure, a comparison row holds the value the paper quotes
 and the value this reproduction measures.  These helpers compute those rows so
-the benchmarks and the documentation never disagree.
+the benchmarks and the CLI tables never disagree.
 """
 
 from __future__ import annotations

@@ -1,4 +1,4 @@
-"""Plain-text table rendering for benchmark output and EXPERIMENTS.md.
+"""Plain-text table rendering for benchmark and CLI output.
 
 Kept dependency-free on purpose: the benchmark harness prints these tables to
 stdout so the paper's tables can be regenerated with nothing but the standard

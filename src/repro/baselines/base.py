@@ -123,7 +123,7 @@ class MutexNodeBase(SimProcess):
             message_type: getattr(self, handler_name)
             for message_type, handler_name in self._MESSAGE_HANDLERS.items()
         }
-        # Let the network's unobserved fast path dispatch by type directly,
+        # Let the network's fast path dispatch by type directly,
         # skipping the on_message frame (same table, same error fallback).
         network.register_dispatch_table(node_id, self._dispatch)
 
@@ -232,9 +232,10 @@ class MutexSystem(abc.ABC):
     ) -> None:
         self.topology = topology
         self.engine = SimulationEngine()
-        # ``collect_metrics=False`` leaves the network unobserved, enabling
-        # its zero-overhead delivery fast path — the throughput benchmarks
-        # run this way and read counts off the network and the nodes instead.
+        # ``collect_metrics=False`` skips the collector's per-send and
+        # per-entry bookkeeping — the throughput benchmarks run this way and
+        # read counts off the network and the nodes instead.  Either way the
+        # network keeps its fast delivery path unless a trace is recorded.
         self.metrics: Optional[MetricsCollector] = (
             MetricsCollector() if collect_metrics else None
         )

@@ -15,8 +15,7 @@ implementation uses **grid quorums**: nodes are laid out in a near-square
 grid and a node's committee is its row plus its column.  Grid quorums have the
 required pairwise-intersection property for every ``N`` and are Θ(√N) in
 size, so the message-count scaling the paper reports is preserved; this is the
-only place the reproduction substitutes a construction (documented in
-DESIGN.md).
+only place the reproduction substitutes a construction.
 """
 
 from __future__ import annotations

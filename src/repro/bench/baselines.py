@@ -3,8 +3,8 @@
 ``repro bench`` historically measured only the DAG algorithm; the paper's
 comparison, however, is against eight baselines, and the comparison sweeps
 replay workloads through *their* message machinery too.  This module gives
-every baseline the same regression treatment: a frozen scenario matrix run on
-the unobserved fast path, a committed ``BENCH_baselines.json`` reference, and
+every baseline the same regression treatment: a frozen scenario matrix run
+with metrics off, a committed ``BENCH_baselines.json`` reference, and
 the same CI gate (20% events/sec tolerance, exact virtual-count comparison via
 :func:`repro.bench.throughput.check_against_baseline`).
 

@@ -102,9 +102,9 @@ def default_fault_matrix() -> List[FaultScenarioSpec]:
 def recovery_matrix() -> List[FaultScenarioSpec]:
     """The token-regeneration cells: DAG, crash-recover, n=50 and 100k.
 
-    The 100k cell runs one heavy round on the unobserved-metrics path (the
-    fault injector keeps the network on the observed delivery path either
-    way; dropping the collector just skips per-entry timing statistics).
+    The 100k cell runs one heavy round with metrics off (the fault injector
+    keeps the network on the observed delivery path either way; dropping the
+    collector just skips per-entry timing statistics).
     """
     return [
         FaultScenarioSpec("dag", 50, "crash-recover"),

@@ -4,8 +4,8 @@ The events-per-second number measured here gates everything the evaluation
 produces: every paper metric comes out of replaying workloads through
 ``SimulationEngine`` → ``Network`` → node callbacks.  The benchmark drives a
 standard scenario matrix (topology family × node count × demand level)
-through the *unobserved* fast path (no metrics collector attached), exactly
-how large-scale sweeps run, and records:
+with no metrics collector attached, exactly how large-scale sweeps run, and
+records:
 
 * events/sec, messages/sec, wall time and process peak RSS per scenario;
 * a correctness assertion that the DAG algorithm stays within the paper's
@@ -28,7 +28,7 @@ import resource
 import sys
 import time
 from dataclasses import asdict, dataclass
-from typing import Any, Dict, Iterable, List, Optional, Sequence
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.sim.latency import ConstantLatency, UniformLatency
 from repro.sim.rng import SeededRNG
@@ -42,7 +42,7 @@ from repro.spec import (
 from repro.topology import star
 from repro.topology.base import Topology
 from repro.topology.metrics import diameter
-from repro.workload.driver import ExperimentDriver, run_experiment
+from repro.workload.driver import ExperimentDriver, ExperimentResult, run_experiment
 from repro.workload.generator import WorkloadGenerator
 from repro.workload.requests import Workload
 
@@ -71,8 +71,8 @@ class ScenarioSpec:
     ) -> ExperimentSpec:
         """The cell as a canonical :class:`~repro.spec.ExperimentSpec`.
 
-        Benchmark cells run the DAG algorithm on the unobserved fast path
-        with seed 0 — exactly the recorded-seed-baseline configuration.
+        Benchmark cells run the DAG algorithm with metrics off and seed 0 —
+        exactly the recorded-seed-baseline configuration.
         ``node_backend`` picks object nodes vs the columnar array core
         ("auto" switches to the columns at
         :data:`~repro.core.compact_state.COMPACT_NODE_BACKEND_THRESHOLD`
@@ -354,12 +354,13 @@ def run_scenario(
 def determinism_fingerprint() -> Dict[str, Dict[str, Any]]:
     """Fixed-seed 50-node runs whose metrics must replay byte-identically.
 
-    Two latency models are exercised, both on the observed (metrics-attached)
-    network path the seed recording used: constant latency and seeded
-    uniform-random latency (the per-channel FIFO clamp).  The returned
-    structure is compared against the values recorded from the seed engine;
-    :func:`fast_path_consistent` separately pins the unobserved fast path to
-    the same replay.
+    Two latency models are exercised, both with the metrics collector
+    attached as in the seed recording: constant latency and seeded
+    uniform-random latency (the per-channel FIFO clamp).  A collector keeps
+    the network on its fast path, so comparing the returned structure
+    against the values recorded from the seed engine pins the fast path
+    directly; :func:`fast_path_consistent` separately pins the observed
+    (traced) path to the same replay.
     """
     topology = star(50)
     workload = WorkloadGenerator(topology.nodes, seed=42).poisson(
@@ -419,14 +420,15 @@ def schedulers_equivalent() -> bool:
 
 
 def fast_path_consistent() -> bool:
-    """Whether the unobserved fast path replays the observed path exactly.
+    """Whether the fast path replays the observed path exactly.
 
-    The recorded seed fingerprint is produced with a metrics collector
-    attached (the observed path).  This check closes the remaining gap: the
-    same fixed-seed run driven with ``collect_metrics=False`` — lite events,
-    ``_deliver_fast``, no ``MessageDelivery`` — must yield the identical
-    entry order, message count and finish time.  Together with the seed
-    fingerprint this pins the fast path to the seed engine transitively.
+    The recorded seed fingerprint runs with a metrics collector attached,
+    which keeps the network on its fast path (lite events, ``_deliver_fast``,
+    no ``MessageDelivery``).  This check covers the other path: the same
+    fixed-seed run with ``record_trace=True`` takes the observed path and
+    must yield the identical entry order, message counts by type, finish
+    time, waiting time and synchronization delays.  Together with the seed
+    fingerprint this pins the observed path to the seed engine too.
     """
     topology = star(50)
     workload = WorkloadGenerator(topology.nodes, seed=42).poisson(
@@ -436,17 +438,25 @@ def fast_path_consistent() -> bool:
         lambda: ConstantLatency(1.0),
         lambda: UniformLatency(0.1, 2.0, rng=SeededRNG(7, label="bench-latency")),
     ):
-        observed = run_experiment("dag", topology, workload, latency=latency_factory())
-        fast = run_experiment(
-            "dag", topology, workload, latency=latency_factory(), collect_metrics=False
+        fast = run_experiment("dag", topology, workload, latency=latency_factory())
+        observed = run_experiment(
+            "dag", topology, workload, latency=latency_factory(), record_trace=True
         )
-        if (
-            fast.entry_order != observed.entry_order
-            or fast.total_messages != observed.total_messages
-            or round(fast.finished_at, 9) != round(observed.finished_at, 9)
-        ):
+        if _replay_outcome(fast) != _replay_outcome(observed):
             return False
     return True
+
+
+def _replay_outcome(result: ExperimentResult) -> Tuple[Any, ...]:
+    """The observables two replays of one spec must agree on exactly."""
+    return (
+        result.entry_order,
+        result.total_messages,
+        list(result.messages_by_type.items()),
+        round(result.finished_at, 9),
+        round(result.mean_waiting_time, 9),
+        result.sync_delays,
+    )
 
 
 def run_benchmark(

@@ -10,7 +10,7 @@ The CLI exposes the library's most useful entry points as subcommands::
     python -m repro topology --kind star --n 9   # draw a topology and its orientation
 
 Every subcommand prints plain-text tables (the same renderer the benchmark
-harness uses), so output can be diffed against EXPERIMENTS.md.
+harness uses), so output can be diffed between runs and machines.
 """
 
 from __future__ import annotations
@@ -286,8 +286,8 @@ def cmd_bench(args: argparse.Namespace) -> int:
     status = 0
     determinism = document.get("determinism", {})
     if not determinism.get("fast_path_matches_observed", True):
-        print("DETERMINISM: the unobserved fast path no longer replays the "
-              "observed path's event order!")
+        print("DETERMINISM: the fast path no longer replays the observed "
+              "(traced) path's event order!")
         status = 1
     if not determinism.get("schedulers_match", True):
         print("DETERMINISM: heap and ring schedulers no longer replay "
@@ -1283,7 +1283,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument(
         "--no-metrics",
         action="store_true",
-        help="shorthand form: run on the unobserved fast path "
+        help="shorthand form: run without the metrics collector "
              "(no per-entry timing statistics, identical event order)",
     )
     run.add_argument(

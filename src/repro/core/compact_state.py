@@ -35,8 +35,8 @@ Delivery integration has three tiers, fastest first:
   message;
 * :meth:`CompactDagState.deliver_one` — the fast-path sink for isolated
   deliveries, installed as the network's ``_deliver_fast``;
-* :meth:`CompactDagState.on_message` — the observed path (metrics, trace,
-  fault injectors), reached through the network's columnar fallback.
+* :meth:`CompactDagState.on_message` — the observed path (trace, fault
+  injectors), reached through the network's columnar fallback.
 
 For code that expects node *objects* — the fault controller's token scan,
 token regeneration, tests poking at ``system.nodes[i]`` — a lazy
@@ -256,7 +256,7 @@ class CompactDagState:
     # message handling
     # ------------------------------------------------------------------ #
     def on_message(self, receiver: int, sender: int, message: Any) -> None:
-        """Observed-path dispatch (metrics/trace/fault runs) for one delivery."""
+        """Observed-path dispatch (trace/fault runs) for one delivery."""
         kind = type(message)
         if kind is Request:
             self._handle_request(receiver, message.sender, message.origin)
@@ -292,10 +292,12 @@ class CompactDagState:
         to :meth:`deliver_one` and hand the payload run here (see
         ``SimulationEngine.set_batch_sink``), replacing a dispatch frame per
         message with one loop over locally cached columns.  Only ever called
-        on the unobserved fast path, so there are no metrics/trace branches —
-        the batched transitions below are the observer-free projection of
+        on the untraced fast path, so there are no trace branches — the
+        batched transitions below are the trace-free projection of
         :meth:`_handle_request` / :meth:`_handle_privilege`, applied in
-        exactly the delivery order the per-event path would have used.
+        exactly the delivery order the per-event path would have used, with
+        the metrics collector told of each entry before ``on_enter`` as
+        :meth:`_enter_critical_section` does.
         """
         network = self._network
         network._messages_delivered += len(payloads)
@@ -305,6 +307,7 @@ class CompactDagState:
         entries = self._entries
         send = self._send
         on_enter = self.on_enter
+        metrics = self._metrics
         engine = self._engine
         total = self.total_entries
         for sender, receiver, message in payloads:
@@ -333,6 +336,8 @@ class CompactDagState:
                 flags[receiver] = (state & ~_REQUESTING) | _IN_CS
                 entries[receiver] += 1
                 total += 1
+                if metrics is not None:
+                    metrics.cs_entered(receiver, engine._now)
                 if on_enter is not None:
                     on_enter(receiver, engine._now)
             else:

@@ -60,8 +60,9 @@ class DagMutexProtocol:
     ) -> None:
         self.topology = topology
         self.engine = SimulationEngine()
-        # ``collect_metrics=False`` leaves the network unobserved so its
-        # zero-overhead fast path is active; throughput benchmarks use it.
+        # ``collect_metrics=False`` skips the collector's bookkeeping;
+        # throughput benchmarks use it.  The network's fast delivery path is
+        # active either way unless a trace is recorded.
         self.metrics: Optional[MetricsCollector] = (
             MetricsCollector() if collect_metrics else None
         )

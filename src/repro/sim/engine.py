@@ -259,9 +259,9 @@ class SimulationEngine:
 
         The queue entry *is* the event: ``callback(payload)`` runs at ``time``
         with no per-event allocation at all.  Lite events cannot be cancelled
-        and carry no kind — they exist for the network's unobserved delivery
-        fast path and the workload driver, where neither feature is used and
-        the allocation would be pure overhead.  Ordering shares the engine's
+        and carry no kind — they exist for the network's delivery fast path
+        and the workload driver, where neither feature is used and the
+        allocation would be pure overhead.  Ordering shares the engine's
         sequence counter, so mixing lite and regular events is deterministic.
         """
         sequence = self._sequence + 1

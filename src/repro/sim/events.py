@@ -116,9 +116,10 @@ class Event:
 class MessageDelivery:
     """Payload of a message-delivery event on the observed (traced) path.
 
-    The zero-overhead network fast path skips this object entirely and ships
-    a bare ``(sender, receiver, message)`` tuple; this richer payload is built
-    only when a metrics collector or trace recorder is attached.
+    The network fast path skips this object entirely and ships a bare
+    ``(sender, receiver, message)`` tuple, with or without a metrics
+    collector; this richer payload is built only when a trace recorder is
+    attached or a ``Network`` subclass (a fault injector) intercepts delivery.
 
     Attributes:
         sender: identifier of the node that sent the message.

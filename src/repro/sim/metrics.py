@@ -16,7 +16,7 @@ built to produce all of them directly:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, List, Optional
 
 
@@ -57,10 +57,22 @@ class CriticalSectionRecord:
         return self.enter_time is not None and self.exit_time is not None
 
 
-@dataclass
 class _MessageStats:
-    count: int = 0
-    total_payload_ints: int = 0
+    """Send count and payload total for one message class.
+
+    The type name and the ``payload_size`` method are resolved once, on the
+    class's first send, so a send costs one dict lookup, two additions and
+    the ``payload_size`` call.
+    """
+
+    __slots__ = ("name", "payload_size", "count", "total_payload_ints")
+
+    def __init__(self, message: Any) -> None:
+        self.name = _message_type_name(message)
+        payload_size = getattr(type(message), "payload_size", None)
+        self.payload_size = payload_size if callable(payload_size) else None
+        self.count = 0
+        self.total_payload_ints = 0
 
 
 class MetricsCollector:
@@ -68,11 +80,14 @@ class MetricsCollector:
 
     def __init__(self) -> None:
         self._total_messages = 0
-        self._by_type: Dict[str, _MessageStats] = {}
+        # Keyed by message class, in first-send order; the per-type views
+        # merge classes sharing a ``type_name``.
+        self._by_class: Dict[type, _MessageStats] = {}
         self._records: List[CriticalSectionRecord] = []
         self._pending: Dict[int, CriticalSectionRecord] = {}
         self._in_cs: Dict[int, CriticalSectionRecord] = {}
         self._last_exit_time: Optional[float] = None
+        self._completed_entries = 0
 
     # ------------------------------------------------------------------ #
     # recording hooks
@@ -80,10 +95,14 @@ class MetricsCollector:
     def message_sent(self, sender: int, receiver: int, message: Any, time: float) -> None:
         """Record one protocol message send."""
         self._total_messages += 1
-        name = _message_type_name(message)
-        stats = self._by_type.setdefault(name, _MessageStats())
+        kind = type(message)
+        stats = self._by_class.get(kind)
+        if stats is None:
+            stats = self._by_class[kind] = _MessageStats(message)
         stats.count += 1
-        stats.total_payload_ints += _payload_size(message)
+        payload_size = stats.payload_size
+        if payload_size is not None:
+            stats.total_payload_ints += int(payload_size(message))
 
     def cs_requested(self, node: int, time: float) -> None:
         """Record that ``node`` issued a critical-section request."""
@@ -118,6 +137,7 @@ class MetricsCollector:
         record = self._in_cs.pop(node, None)
         if record is not None:
             record.exit_time = time
+            self._completed_entries += 1
         self._last_exit_time = time
 
     # ------------------------------------------------------------------ #
@@ -130,15 +150,22 @@ class MetricsCollector:
 
     @property
     def messages_by_type(self) -> Dict[str, int]:
-        """Mapping from message type name to number of sends."""
-        return {name: stats.count for name, stats in self._by_type.items()}
+        """Mapping from message type name to number of sends, first-sent first."""
+        counts: Dict[str, int] = {}
+        for stats in self._by_class.values():
+            counts[stats.name] = counts.get(stats.name, 0) + stats.count
+        return counts
 
     def mean_payload_size(self, message_type: str) -> float:
         """Average payload size (in integer fields) for one message type."""
-        stats = self._by_type.get(message_type)
-        if stats is None or stats.count == 0:
+        count = total = 0
+        for stats in self._by_class.values():
+            if stats.name == message_type:
+                count += stats.count
+                total += stats.total_payload_ints
+        if count == 0:
             return 0.0
-        return stats.total_payload_ints / stats.count
+        return total / count
 
     @property
     def records(self) -> List[CriticalSectionRecord]:
@@ -148,7 +175,7 @@ class MetricsCollector:
     @property
     def completed_entries(self) -> int:
         """Number of critical-section entries that entered and exited."""
-        return sum(1 for record in self._records if record.completed)
+        return self._completed_entries
 
     @property
     def pending_requests(self) -> List[int]:
@@ -195,15 +222,15 @@ class MetricsCollector:
         return sum(times) / len(times)
 
     def summary(self) -> Dict[str, Any]:
-        """Compact dictionary used by reports and EXPERIMENTS.md tables."""
+        """Compact dictionary used by reports and result tables."""
         delays = self.sync_delays
         return {
             "total_messages": self._total_messages,
             "messages_by_type": self.messages_by_type,
-            "cs_entries": self.completed_entries,
+            "cs_entries": self._completed_entries,
             "messages_per_entry": round(self.messages_per_entry, 4),
             "mean_sync_delay": round(sum(delays) / len(delays), 4) if delays else None,
-            "max_sync_delay": self.max_sync_delay,
+            "max_sync_delay": max(delays) if delays else None,
             "mean_waiting_time": round(self.mean_waiting_time(), 4),
             "pending_requests": self.pending_requests,
         }
@@ -215,11 +242,3 @@ def _message_type_name(message: Any) -> str:
     if isinstance(name, str):
         return name
     return type(message).__name__
-
-
-def _payload_size(message: Any) -> int:
-    """Number of integer payload fields, via ``payload_size()`` when provided."""
-    payload_size = getattr(message, "payload_size", None)
-    if callable(payload_size):
-        return int(payload_size())
-    return 0

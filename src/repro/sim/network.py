@@ -9,21 +9,22 @@ channel, its delivery is pushed back to just after the earlier delivery.
 
 Two delivery paths exist:
 
-* **fast path** — taken when no metrics collector and no trace recorder are
-  attached (and the class is not subclassed): the send schedules a bare
-  ``(sender, receiver, message)`` tuple, skipping the
+* **fast path** — taken when no trace recorder is attached and the class is
+  not subclassed, whether or not a metrics collector is: the send schedules a
+  bare ``(sender, receiver, message)`` tuple, skipping the
   :class:`~repro.sim.events.MessageDelivery` allocation, the message
-  description, and every observer branch.  With a
+  description, and the trace branches.  With a
   :class:`~repro.sim.latency.ConstantLatency` model the per-channel FIFO
   clamp is skipped too: a constant delay added to a non-decreasing clock can
   never reorder a channel, so no per-channel state is touched at all.
-* **observed path** — taken when a collector/recorder is attached or the
-  network is subclassed (fault injectors override ``_deliver``): identical to
-  the historical behaviour, building a full :class:`MessageDelivery` payload.
+* **observed path** — taken when a trace recorder is attached or the network
+  is subclassed (fault injectors override ``_deliver``): identical to the
+  historical behaviour, building a full :class:`MessageDelivery` payload.
 
-Both paths allocate engine sequence numbers in the same order (one event per
-send), so a run's ``(time, priority, sequence)`` event order is identical
-whichever path is active.
+A metrics collector sees every send on either path, before the
+partition-drop check.  Both paths allocate engine sequence numbers in the
+same order (one event per send), so a run's ``(time, priority, sequence)``
+event order is identical whichever path is active.
 """
 
 from __future__ import annotations
@@ -88,8 +89,8 @@ class Network:
         self._allow_self_send = allow_self_send
         self._handlers: Dict[int, MessageHandler] = {}
         # Optional per-node type-keyed dispatch tables (message type ->
-        # bound handler), consulted by the unobserved fast path so a
-        # delivery skips the node's ``on_message`` frame entirely.
+        # bound handler), consulted by the fast path so a delivery skips
+        # the node's ``on_message`` frame entirely.
         self._fast_tables: Dict[int, Dict[type, MessageHandler]] = {}
         # Columnar (array-backed) node state attached via attach_columnar:
         # its nodes have no per-node handlers — endpoint validation falls
@@ -109,7 +110,9 @@ class Network:
         )
         # Subclasses (fault injectors) intercept ``_deliver``; the fast path
         # would route around them, so it is enabled only for Network itself.
-        self._fast_path = metrics is None and trace is None and type(self) is Network
+        # A metrics collector does not need the observed path: every send
+        # reports to it before the branches below.
+        self._fast_path = trace is None and type(self) is Network
         # Hottest configuration, resolved once: fast path + constant latency.
         self._fast_delay: Optional[float] = (
             self._constant_delay if self._fast_path else None
@@ -167,9 +170,9 @@ class Network:
         """Install a type-keyed handler table for fast-path deliveries.
 
         Nodes whose ``on_message`` is a pure type dispatch (every mutex node
-        in the library) expose the dispatch dict here; the unobserved fast
-        path then calls the final handler directly — one dict lookup instead
-        of a dict lookup *plus* an ``on_message`` frame per delivery.  A
+        in the library) expose the dispatch dict here; the fast path then
+        calls the final handler directly — one dict lookup instead of a dict
+        lookup *plus* an ``on_message`` frame per delivery.  A
         message type missing from the table (or a node that never installs
         one) falls back to the registered handler, so error semantics are
         unchanged — including delivery to an unregistered node, because
@@ -190,10 +193,10 @@ class Network:
         against ``state.node_range`` and deliveries dispatch to the state
         object:
 
-        * the unobserved fast path's ``_deliver_fast`` is shadowed with the
-          state's ``deliver_one`` bound method, and the same object is
-          installed as the engine's batch sink so the drain loops can hand
-          whole same-tick delivery runs to ``deliver_batch`` in one call;
+        * the fast path's ``_deliver_fast`` is shadowed with the state's
+          ``deliver_one`` bound method, and the same object is installed as
+          the engine's batch sink so the drain loops can hand whole same-tick
+          delivery runs to ``deliver_batch`` in one call;
         * the observed path (:meth:`_deliver`, inherited by fault-injecting
           subclasses) falls back to ``state.on_message`` for ids the handler
           table does not know.
@@ -252,10 +255,13 @@ class Network:
 
         self._messages_sent += 1
         engine = self._engine
+        metrics = self._metrics
+        if metrics is not None:
+            metrics.message_sent(sender, receiver, message, engine._now)
 
         delay = self._fast_delay
         if delay is not None:
-            # Hottest configuration: unobserved + constant latency.  No
+            # Hottest configuration: untraced + constant latency.  No
             # channel state is touched at all unless a partition is active.
             # The lite entry is built inline — sequence bump plus one push —
             # because even the schedule_lite frame is measurable at this
@@ -279,7 +285,7 @@ class Network:
             return
 
         if self._fast_path:
-            # Unobserved but random latency: the per-channel clamp is still
+            # Untraced but random latency: the per-channel clamp is still
             # required, but the rich payload is not.
             if self._partition_count:
                 state = self._channels.get((sender, receiver))
@@ -304,15 +310,13 @@ class Network:
             )
             return
 
-        # Observed path: metrics/trace attached, or a subclass intercepts
-        # delivery.  Mirrors the historical behaviour exactly.
+        # Observed path: a trace recorder is attached, or a subclass
+        # intercepts delivery.  Mirrors the historical behaviour exactly.
         now = engine.now
         state = self._channel_state(sender, receiver)
         sequence = state.sequence + 1
         state.sequence = sequence
 
-        if self._metrics is not None:
-            self._metrics.message_sent(sender, receiver, message, now)
         if self._trace is not None:
             self._trace.record(
                 now,
@@ -392,7 +396,7 @@ class Network:
         payload: MessageDelivery = event.payload
         handler = self._handlers.get(payload.receiver)
         if handler is None:
-            # Columnar fallback: the observed path (metrics/trace/fault
+            # Columnar fallback: the observed path (trace, or fault
             # subclasses, which reach here via super()._deliver) dispatches
             # to the attached state instead of a per-node handler.
             columnar = self._columnar

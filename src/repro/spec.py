@@ -568,11 +568,12 @@ class ExperimentSpec:
     The fields that determine the virtual-time outcome are ``algorithm``,
     ``topology``, ``workload``, ``latency`` and ``seed``; ``scheduler``
     affects wall clock only (byte-identical replay, CI-gated),
-    ``collect_metrics`` selects the observed vs the zero-overhead network
-    path (identical event order, per-entry timing statistics only on the
-    observed one), and ``node_backend`` picks object nodes vs the columnar
-    array core for algorithms that declare both (identical event order,
-    CI-gated by the ``backend-identity`` matrix).
+    ``collect_metrics`` attaches the metrics collector (per-entry timing
+    statistics; the network takes the same fast delivery path and replays
+    the same event order either way, and only ``record_trace`` or a fault
+    schedule moves it onto the observed path), and ``node_backend`` picks
+    object nodes vs the columnar array core for algorithms that declare both
+    (identical event order, CI-gated by the ``backend-identity`` matrix).
     """
 
     algorithm: str

@@ -91,9 +91,9 @@ def scenario_seed(name: str) -> int:
 class SweepScenario:
     """One cell of the sweep matrix.
 
-    ``collect_metrics=False`` switches the cell to the network's unobserved
-    fast path (no per-entry timing statistics), which the 10k-node tier uses
-    to stay in the seconds range.  ``scheduler`` picks the engine's
+    ``collect_metrics=False`` drops the metrics collector (no per-entry
+    timing statistics), which the 10k-node tier uses to stay in the seconds
+    range.  ``scheduler`` picks the engine's
     pending-event store ("auto"/"heap"/"ring"); it affects wall clock only —
     the virtual-time outcome is byte-identical for every value, which the CI
     smoke job cross-checks by diffing heap and ring deterministic documents.
@@ -399,7 +399,7 @@ def large_sweep_matrix(
     whose declared ``max_recommended_nodes`` admits 10k nodes join (the
     broadcast algorithms would send ~10^4 messages per entry there, which
     measures nothing the 50-node cells do not already show).  The 10k cells
-    run on the unobserved fast path (``collect_metrics=False``).
+    run with metrics off (``collect_metrics=False``).
     """
     matrix = default_sweep_matrix(
         algorithms=algorithms, scheduler=scheduler, node_backend=node_backend
@@ -434,7 +434,7 @@ def xlarge_sweep_matrix(
     The tier the ROADMAP flagged as blocked on wall budget: one heavy
     100k-node cell is ~1M critical-section entries, minutes on the seed
     engine.  Star and tree only (a 100k-hop line diameter measures topology
-    pathology, not the algorithms), heavy demand only, unobserved fast path.
+    pathology, not the algorithms), heavy demand only, metrics off.
     Additive like the 10k tier, so committed documents stay valid.
     """
     matrix = large_sweep_matrix(
@@ -469,7 +469,7 @@ def xxlarge_sweep_matrix(
 
     The tier the streaming pipeline unlocked: topologies come from the
     array-backed builders, the heavy workload streams in driver-chunked
-    batches, and each cell runs on the unobserved fast path in its own child
+    batches, and each cell runs with metrics off in its own child
     process (whose ``ru_maxrss`` is the tier's per-scenario RSS record).
     Star and tree only, heavy demand only, and only the algorithms whose
     declared ``max_recommended_nodes`` admits a million nodes (per the

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from repro.baselines.suzuki_kasami import SKPrivilege
 from repro.core.messages import Privilege, Request
 from repro.sim.metrics import MetricsCollector
 
@@ -22,6 +23,36 @@ def test_payload_sizes_averaged_per_type():
     assert metrics.mean_payload_size("REQUEST") == 2.0
     assert metrics.mean_payload_size("PRIVILEGE") == 0.0
     assert metrics.mean_payload_size("UNKNOWN") == 0.0
+
+
+def test_message_types_merge_by_name_in_first_sent_order():
+    # Two classes share the PRIVILEGE name; its payload varies per message.
+    metrics = MetricsCollector()
+    metrics.message_sent(3, 1, Privilege(), 0.0)
+    metrics.message_sent(1, 2, Request(sender=1, origin=1), 1.0)
+    metrics.message_sent(2, 3, SKPrivilege(last_granted=((1, 1),), queue=(2, 3)), 2.0)
+    metrics.message_sent(2, 3, SKPrivilege(last_granted=(), queue=(2,)), 3.0)
+    metrics.message_sent(1, 2, "plain", 4.0)
+    assert list(metrics.messages_by_type.items()) == [
+        ("PRIVILEGE", 3),
+        ("REQUEST", 1),
+        ("str", 1),
+    ]
+    assert metrics.mean_payload_size("PRIVILEGE") == (0 + 4 + 1) / 3
+    assert metrics.mean_payload_size("str") == 0.0
+
+
+def test_completed_entries_count_closed_records_only():
+    metrics = MetricsCollector()
+    metrics.cs_requested(1, 0.0)
+    metrics.cs_entered(1, 1.0)
+    assert metrics.completed_entries == 0
+    metrics.cs_exited(1, 2.0)
+    metrics.cs_exited(1, 3.0)  # no open record: nothing more to close
+    metrics.cs_requested(2, 2.0)
+    metrics.cs_entered(2, 3.0)
+    assert metrics.completed_entries == 1
+    assert metrics.completed_entries == sum(r.completed for r in metrics.records)
 
 
 def test_cs_lifecycle_produces_complete_record():
@@ -129,3 +160,21 @@ def test_summary_shape():
     assert summary["messages_per_entry"] == 1.0
     assert summary["pending_requests"] == []
     assert "REQUEST" in summary["messages_by_type"]
+
+
+def test_summary_sync_delay_fields():
+    metrics = MetricsCollector()
+    metrics.cs_requested(1, 0.0)
+    metrics.cs_entered(1, 0.0)
+    metrics.cs_requested(2, 1.0)
+    metrics.cs_requested(3, 1.0)
+    metrics.cs_exited(1, 5.0)
+    metrics.cs_entered(2, 6.0)
+    metrics.cs_exited(2, 7.0)
+    metrics.cs_entered(3, 10.0)
+    metrics.cs_exited(3, 11.0)
+    summary = metrics.summary()
+    assert summary["cs_entries"] == 3
+    assert summary["mean_sync_delay"] == 2.0
+    assert summary["max_sync_delay"] == 3.0
+    assert MetricsCollector().summary()["max_sync_delay"] is None

@@ -58,8 +58,9 @@ def test_fifo_clamp_pushes_reordered_delivery_after_predecessor():
 def test_fifo_clamp_applies_on_observed_path_too():
     metrics = MetricsCollector()
     engine, network, handlers = build(
-        latency=_ReorderingLatency([10.0, 1.0]), metrics=metrics
+        latency=_ReorderingLatency([10.0, 1.0]), metrics=metrics, trace=TraceRecorder()
     )
+    assert network._fast_path is False
     network.send(1, 2, "first")
     network.send(1, 2, "second")
     engine.run()
@@ -119,7 +120,8 @@ def test_messages_dropped_before_heal_never_deliver_after_heal():
 
 def test_partition_drop_counting_on_observed_path():
     metrics = MetricsCollector()
-    engine, network, handlers = build(metrics=metrics)
+    engine, network, handlers = build(metrics=metrics, trace=TraceRecorder())
+    assert network._fast_path is False
     network.partition(1, 2)
     network.send(1, 2, "lost")
     engine.run()
@@ -128,6 +130,27 @@ def test_partition_drop_counting_on_observed_path():
     assert metrics.total_messages == 1
     assert network.messages_dropped == 1
     assert handlers[2].received == []
+
+
+@pytest.mark.parametrize(
+    "latency",
+    [ConstantLatency(1.0), UniformLatency(0.5, 2.0, rng=SeededRNG(3))],
+    ids=["constant", "uniform"],
+)
+def test_partition_drop_counting_with_metrics_on_fast_path(latency):
+    # Both fast branches report the send to the collector before the drop.
+    metrics = MetricsCollector()
+    engine, network, handlers = build(latency=latency, metrics=metrics)
+    assert network._fast_path is True
+    network.partition(1, 2)
+    network.send(1, 2, "lost")
+    network.send(2, 1, "reverse-ok")
+    engine.run()
+    assert metrics.total_messages == 2
+    assert metrics.messages_by_type == {"str": 2}
+    assert network.messages_dropped == 1
+    assert handlers[2].received == []
+    assert [m for _, m in handlers[1].received] == ["reverse-ok"]
 
 
 def test_partition_heal_is_idempotent():
@@ -176,10 +199,18 @@ def test_fast_and_observed_paths_deliver_identically():
 
 
 def test_fast_path_disabled_when_observed():
+    # A metrics collector rides the fast path; only a trace recorder (or a
+    # subclass, below) needs the observed one.
     engine = SimulationEngine()
     assert Network(engine)._fast_path is True
-    assert Network(SimulationEngine(), metrics=MetricsCollector())._fast_path is False
+    assert Network(SimulationEngine(), metrics=MetricsCollector())._fast_path is True
     assert Network(SimulationEngine(), trace=TraceRecorder())._fast_path is False
+    assert (
+        Network(
+            SimulationEngine(), metrics=MetricsCollector(), trace=TraceRecorder()
+        )._fast_path
+        is False
+    )
 
 
 def test_fast_path_disabled_for_subclasses():
