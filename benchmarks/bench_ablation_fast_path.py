@@ -9,8 +9,6 @@ the waiting time is bounded by the request's travel time; without it the
 requester can wait arbitrarily long (here: until a timeout forces the holder
 to cycle through its own critical section), and under a light workload the
 difference dominates end-to-end latency.
-
-This is the design-choice ablation called out in DESIGN.md.
 """
 
 from __future__ import annotations

@@ -1,10 +1,8 @@
 """Shared helpers for the benchmark harness.
 
-Every benchmark regenerates one of the paper's tables or figures (see
-DESIGN.md's experiment index and EXPERIMENTS.md for the paper-vs-measured
-record).  The measured numbers are printed to stdout with ``-s`` /
-``--capture=no`` or collected from the ``extra_info`` field of
-pytest-benchmark's JSON output.
+Every benchmark regenerates one of the paper's tables or figures.  The
+measured numbers are printed to stdout with ``-s`` / ``--capture=no`` or
+collected from the ``extra_info`` field of pytest-benchmark's JSON output.
 """
 
 from __future__ import annotations

@@ -15,6 +15,18 @@ TCP sockets:
     view    {id}                ->  {id, ok, epoch, view}    (current membership)
     shutdown {id}               ->  {id, ok}                 (graceful shard exit)
 
+One write per connection per loop turn, on both ends of the wire: a frame
+is encoded into its connection's outbox, and the first frame into an empty
+outbox schedules one ``loop.call_soon`` flush that writes the whole outbox
+with a single ``writer.write``.  Client requests and shard replies therefore
+batch into one ``send`` syscall however many sessions share the connection,
+frames keep their FIFO order.  After queueing, a caller awaits
+``writer.drain()`` under a per-connection lock; the flush for its own frame
+has not run yet, so that drain applies backpressure from the frames of
+earlier turns, and the unsent buffer stays bounded by one turn's frames.  A
+request whose flush fails fails its caller at once; a shard flushes what it
+has queued before it closes a connection.
+
 Inside a shard, each key's tree is a set of :class:`AsyncDagNode` *agents*
 over an in-process transport; a client acquire claims a free agent (one
 outstanding protocol request per agent, the paper's P1 precondition) and runs
@@ -462,18 +474,29 @@ class LockServiceShard:
     ) -> None:
         self._conn_counter += 1
         conn_id = self._conn_counter
-        write_lock = asyncio.Lock()
         state = {"open": True}
+        # Replies coalesce: every reply a loop turn produces for this
+        # connection goes out in one write (see the module docstring).
+        outbox: List[bytes] = []
+        loop = asyncio.get_running_loop()
+        drain_lock = asyncio.Lock()
+
+        def flush() -> None:
+            if outbox and not writer.is_closing():
+                writer.write(b"".join(outbox))
+            outbox.clear()
 
         async def reply(payload: Dict[str, Any]) -> None:
             if not state["open"]:
                 return
-            async with write_lock:
-                try:
-                    writer.write(encode_frame(payload))
+            if not outbox:
+                loop.call_soon(flush)
+            outbox.append(encode_frame(payload))
+            try:
+                async with drain_lock:
                     await writer.drain()
-                except (ConnectionError, OSError):
-                    state["open"] = False
+            except (ConnectionError, OSError):
+                state["open"] = False
 
         try:
             while True:
@@ -504,6 +527,9 @@ class LockServiceShard:
             for (session, key), hold in list(self._held.items()):
                 if hold.conn_state is state:
                     self._abandon(hold)
+            # Queued replies (the shutdown ack among them) go out before the
+            # close; the flush already scheduled then finds nothing to write.
+            flush()
             writer.close()
             try:
                 await writer.wait_closed()
@@ -1374,15 +1400,19 @@ def _normalise_address(address: Address) -> Address:
 
 
 class _ClientConnection:
-    """One framed connection: a writer lock out, a reader task routing in."""
+    """One framed connection: an outbox flushed once per loop turn out, a
+    reader task routing replies in by op id."""
 
     def __init__(self, address: Address) -> None:
         self._address = address
         self._reader: Optional[asyncio.StreamReader] = None
         self._writer: Optional[asyncio.StreamWriter] = None
         self._reader_task: Optional[asyncio.Task] = None
-        self._write_lock = asyncio.Lock()
         self._pending: Dict[str, asyncio.Future] = {}
+        #: Encoded requests not yet written, and the futures awaiting them.
+        self._outbox: List[bytes] = []
+        self._queued: List[asyncio.Future] = []
+        self._drain_lock = asyncio.Lock()
 
     async def open(self) -> None:
         try:
@@ -1418,28 +1448,48 @@ class _ClientConnection:
             self._writer = None
 
     async def call(self, op_id: str, frame: Dict[str, Any]) -> Dict[str, Any]:
-        if self._writer is None:
+        writer = self._writer
+        if writer is None:
             raise ShardUnavailableError("connection is not open")
         if self._reader_task is not None and self._reader_task.done():
             # The reader died (peer reset): a future registered now would
             # never resolve, so fail fast and let the caller reconnect.
             raise ShardUnavailableError("lock service connection lost")
-        future: asyncio.Future = asyncio.get_running_loop().create_future()
+        loop = asyncio.get_running_loop()
+        future: asyncio.Future = loop.create_future()
         self._pending[op_id] = future
         payload = dict(frame)
         payload["id"] = op_id
         try:
-            async with self._write_lock:
-                writer = self._writer
-                if writer is None:
-                    # Another session closed this shared connection while we
-                    # waited for the write lock.
-                    raise ShardUnavailableError("lock service connection closed")
-                writer.write(encode_frame(payload))
+            encoded = encode_frame(payload)
+            if not self._outbox:
+                loop.call_soon(self._flush)
+            self._outbox.append(encoded)
+            self._queued.append(future)
+            async with self._drain_lock:
                 await writer.drain()
             return await future
         finally:
             self._pending.pop(op_id, None)
+
+    def _flush(self) -> None:
+        """Write every queued request in one go; fail them if that cannot be."""
+        frames, self._outbox = self._outbox, []
+        queued, self._queued = self._queued, []
+        writer = self._writer
+        try:
+            if writer is None or writer.is_closing():
+                raise ConnectionResetError("connection closed with requests queued")
+            writer.write(b"".join(frames))
+        except (ConnectionError, OSError) as exc:
+            # These frames never reached the wire, so no reply will come:
+            # fail their callers now rather than leave them to a deadline
+            # that may not be set.
+            error = ShardUnavailableError(f"lock service connection failed: {exc}")
+            for future in queued:
+                if not future.done():
+                    future.set_exception(error)
+                    future.exception()
 
     async def _route_responses(self) -> None:
         error: Exception = ShardUnavailableError("lock service connection closed")

@@ -50,13 +50,17 @@ RECONNECT_DELAY_INITIAL = 0.05
 RECONNECT_DELAY_MAX = 1.0
 RECONNECT_ATTEMPTS = 40
 
+#: One compact encoder for every frame: ``json.dumps`` with non-default
+#: separators would build a fresh ``JSONEncoder`` per call.
+_FRAME_ENCODER = json.JSONEncoder(separators=(",", ":"))
+
 
 # --------------------------------------------------------------------------- #
 # framing
 # --------------------------------------------------------------------------- #
 def encode_frame(payload: Dict[str, Any]) -> bytes:
     """Serialise one JSON payload as a length-prefixed frame."""
-    body = json.dumps(payload, separators=(",", ":")).encode("utf-8")
+    body = _FRAME_ENCODER.encode(payload).encode("utf-8")
     if len(body) > MAX_FRAME_BYTES:
         raise RuntimeTransportError(
             f"frame of {len(body)} bytes exceeds the {MAX_FRAME_BYTES}-byte limit"

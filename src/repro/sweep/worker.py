@@ -29,13 +29,8 @@ from repro.sweep.matrix import SweepScenario
 from repro.topology.metrics import diameter
 from repro.workload.driver import ExperimentDriver
 
-#: Deprecated fault-injection hook for the crash-isolation tests: when this
-#: environment variable names a scenario, its child process dies with
-#: :data:`CRASH_EXIT_CODE` before running anything.  Superseded by the
-#: structured path — a scenario whose fault profile sets
-#: ``FaultSpec.worker_crash`` (the ``"worker-crash"`` profile) — and kept as
-#: an alias for one release; the runner warns when it is set.
-CRASH_ENV = "REPRO_SWEEP_CRASH_SCENARIO"
+#: Exit code of a child killed by the ``"worker-crash"`` fault profile
+#: (``FaultSpec.worker_crash``).
 CRASH_EXIT_CODE = 17
 
 #: Event budget per scenario; generous because the 10k-node cells are large.
@@ -150,9 +145,6 @@ def child_main(spec_dict: Dict[str, Any], connection) -> None:
     if spec.faults is not None and FAULT_PROFILES[spec.faults].worker_crash:
         # The structured worker-crash fault: the harness-level analogue of a
         # node crash, used by the crash-isolation tests.
-        os._exit(CRASH_EXIT_CODE)
-    if os.environ.get(CRASH_ENV) == spec.name:
-        # Deprecated alias for the structured path above.
         os._exit(CRASH_EXIT_CODE)
     try:
         row = execute_scenario(spec)

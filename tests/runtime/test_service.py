@@ -3,15 +3,24 @@
 from __future__ import annotations
 
 import asyncio
+import collections
 import hashlib
+import socket
+import struct
 import subprocess
 import sys
 
 import pytest
 
-from repro.exceptions import LockError
+from repro.exceptions import LockError, ShardUnavailableError
 from repro.runtime import LockClient, LockServiceCluster, shard_for_key
-from repro.runtime.service import RING_VNODES, _hash64
+from repro.runtime.service import (
+    RING_VNODES,
+    LockServiceShard,
+    _ClientConnection,
+    _hash64,
+)
+from repro.runtime.transport_socket import encode_frame, read_frame
 from repro.spec import RuntimeSpec, TopologySpec
 
 
@@ -207,3 +216,164 @@ def test_cluster_restart_rejected_and_stop_is_idempotent():
             cluster.start()
     cluster.stop()  # second stop is a no-op
     assert cluster.addresses == []
+
+
+# --------------------------------------------------------------------------- #
+# one write per connection per loop turn
+# --------------------------------------------------------------------------- #
+def count_sends(monkeypatch) -> "collections.Counter[int]":
+    """Count socket send system calls per file descriptor, in this process."""
+    sends: "collections.Counter[int]" = collections.Counter()
+    for name in ("send", "sendmsg"):
+        original = getattr(socket.socket, name)
+
+        def counting(self, *args, _original=original):
+            sends[self.fileno()] += 1
+            return _original(self, *args)
+
+        monkeypatch.setattr(socket.socket, name, counting)
+    return sends
+
+
+async def start_shard(tmp_path) -> LockServiceShard:
+    """One in-process shard on a unix socket (no control pipe, epoch 0)."""
+    shard = LockServiceShard(small_spec(shards=1), 0)
+    await shard.start(str(tmp_path / "shard.sock"))
+    return shard
+
+
+@pytest.mark.network
+def test_concurrent_calls_on_one_channel_share_one_socket_write(tmp_path, monkeypatch):
+    sends = count_sends(monkeypatch)
+
+    async def drive() -> None:
+        shard = await start_shard(tmp_path)
+        conn = _ClientConnection(shard.address)
+        await conn.open()
+        client_fd = conn._writer.get_extra_info("socket").fileno()
+        ids = [f"op-{index}" for index in range(50)]
+        replies = await asyncio.gather(*(conn.call(op_id, {"op": "view"}) for op_id in ids))
+        # Each call got the reply carrying its own id ...
+        assert [reply["id"] for reply in replies] == ids
+        assert all(reply["ok"] for reply in replies)
+        # ... and all fifty requests left in a single send.
+        assert sends[client_fd] == 1
+        await conn.close()
+        await shard.close()
+
+    run(drive())
+
+
+@pytest.mark.network
+def test_shard_answers_a_loop_turn_of_ops_with_one_write(tmp_path, monkeypatch):
+    sends = count_sends(monkeypatch)
+
+    async def drive() -> None:
+        shard = await start_shard(tmp_path)
+        reader, writer = await asyncio.open_unix_connection(shard.address)
+        client_fd = writer.get_extra_info("socket").fileno()
+        # Eight ops arrive together, so the shard reads and answers them all
+        # in one event-loop turn.
+        writer.write(b"".join(encode_frame({"op": "view", "id": index}) for index in range(8)))
+        await writer.drain()
+        replies = [await asyncio.wait_for(read_frame(reader), timeout=5.0) for _ in range(8)]
+        assert [reply["id"] for reply in replies] == list(range(8))
+        assert sends[client_fd] == 1
+        shard_sends = [count for fd, count in sends.items() if fd != client_fd]
+        assert shard_sends == [1]
+        writer.close()
+        await shard.close()
+
+    run(drive())
+
+
+@pytest.mark.network
+def test_peer_reset_before_the_flush_fails_the_op_promptly():
+    async def drive() -> None:
+        loop = asyncio.get_running_loop()
+        listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+        listener.bind(("127.0.0.1", 0))
+        listener.listen()
+        listener.setblocking(False)
+        # No op_timeout: only the connection failure can end the acquire.
+        client = LockClient([listener.getsockname()], channels=1, max_retries=0)
+        await client.connect()
+        peer, _ = await loop.sock_accept(listener)
+        listener.close()  # the retry loop's best-effort cancel finds no shard
+        acquire = asyncio.create_task(client.acquire("k"))
+        await asyncio.sleep(0)
+        assert client._conns[(0, 0)]._outbox, "the acquire frame should be queued"
+        # Reset the connection from the peer's side before the flush runs.
+        peer.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+        peer.close()
+        with pytest.raises(ShardUnavailableError):
+            await asyncio.wait_for(acquire, timeout=5.0)
+        await client.close()
+
+    run(drive())
+
+
+@pytest.mark.network
+def test_failed_flush_fails_its_queued_calls_without_a_deadline(tmp_path):
+    async def drive() -> None:
+        shard = await start_shard(tmp_path)
+        conn = _ClientConnection(shard.address)
+        await conn.open()
+
+        def refuse(data: bytes) -> None:
+            raise ConnectionResetError("write refused")
+
+        conn._writer.write = refuse
+        calls = [
+            asyncio.ensure_future(conn.call(f"op-{index}", {"op": "view"}))
+            for index in range(3)
+        ]
+        done, pending = await asyncio.wait(calls, timeout=5.0)
+        assert not pending
+        for call in calls:
+            with pytest.raises(ShardUnavailableError, match="write refused"):
+                call.result()
+        # The reader saw nothing wrong: the flush itself failed the calls.
+        assert not conn._reader_task.done()
+        await conn.close()
+        await shard.close()
+
+    run(drive())
+
+
+@pytest.mark.network
+def test_close_between_enqueue_and_flush_fails_the_call_promptly(tmp_path):
+    async def drive() -> None:
+        shard = await start_shard(tmp_path)
+        conn = _ClientConnection(shard.address)
+        await conn.open()
+        call = asyncio.ensure_future(conn.call("op-0", {"op": "view"}))
+        await asyncio.sleep(0)
+        assert conn._outbox, "the request should be queued, not yet written"
+        # Another session tears the shared connection down before the flush.
+        conn.close_nowait()
+        # No deadline: the flush finds the writer gone and fails the call
+        # itself, ahead of the cancelled reader's own teardown.
+        with pytest.raises(ShardUnavailableError, match="requests queued"):
+            await asyncio.wait_for(call, timeout=5.0)
+        await conn.close()
+        await shard.close()
+
+    run(drive())
+
+
+@pytest.mark.network
+def test_shutdown_ack_arrives_before_the_shard_closes_the_connection(tmp_path):
+    async def drive() -> None:
+        shard = await start_shard(tmp_path)
+        reader, writer = await asyncio.open_unix_connection(shard.address)
+        writer.write(encode_frame({"op": "shutdown", "id": 7}))
+        await writer.drain()
+        ack = await asyncio.wait_for(read_frame(reader), timeout=5.0)
+        assert ack == {"id": 7, "ok": True}
+        assert await asyncio.wait_for(read_frame(reader), timeout=5.0) is None
+        assert shard._shutdown.is_set()
+        writer.close()
+        await shard.close()
+
+    run(drive())
