@@ -3,7 +3,8 @@
 This package measures end-to-end simulation throughput (engine events per
 wall-clock second) over a standard scenario matrix, writes the
 ``BENCH_throughput.json`` regression record, and checks that the optimized
-core still replays the seed engine's event order exactly.  See
+core still replays the seed engine's event order exactly.  Every committed
+bench document is merged and checked by :mod:`repro.bench.gate`.  See
 ``benchmarks/README.md`` for the file format and the CLI entry point
 (``repro bench``).
 """
@@ -16,16 +17,13 @@ from repro.bench.baselines import (
     baseline_smoke_matrix,
     run_baseline_benchmark,
     run_baseline_scenario,
-    run_calibrated_baseline_benchmark,
 )
 from repro.bench.faults import (
     DEGRADATION_ALGORITHMS,
     DEGRADATION_PROFILES,
     FAULT_BENCH_SCHEMA,
     FaultScenarioSpec,
-    check_fault_baseline,
     default_fault_matrix,
-    deterministic_fault_document,
     recovery_matrix,
     run_fault_benchmark,
     run_fault_scenario,
@@ -43,14 +41,11 @@ from repro.bench.throughput import (
     ScenarioResult,
     ScenarioSpec,
     bench_workload_spec,
-    check_against_baseline,
     default_matrix,
     determinism_fingerprint,
     fast_path_consistent,
     large_matrix,
-    min_merge_documents,
     run_benchmark,
-    run_calibrated_benchmark,
     run_scenario,
     schedulers_equivalent,
     smoke_matrix,
@@ -75,22 +70,16 @@ __all__ = [
     "baseline_default_matrix",
     "baseline_smoke_matrix",
     "bench_workload_spec",
-    "check_against_baseline",
-    "check_fault_baseline",
     "construction_matrix",
     "default_fault_matrix",
     "default_matrix",
-    "deterministic_fault_document",
     "determinism_fingerprint",
     "fast_path_consistent",
     "large_matrix",
-    "min_merge_documents",
     "recovery_matrix",
     "run_baseline_benchmark",
     "run_baseline_scenario",
-    "run_calibrated_baseline_benchmark",
     "run_benchmark",
-    "run_calibrated_benchmark",
     "run_fault_benchmark",
     "run_fault_scenario",
     "run_scenario",

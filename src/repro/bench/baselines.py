@@ -5,8 +5,8 @@ comparison, however, is against eight baselines, and the comparison sweeps
 replay workloads through *their* message machinery too.  This module gives
 every baseline the same regression treatment: a frozen scenario matrix run
 with metrics off, a committed ``BENCH_baselines.json`` reference, and
-the same CI gate (20% events/sec tolerance, exact virtual-count comparison via
-:func:`repro.bench.throughput.check_against_baseline`).
+the same CI gate as the DAG matrix (:mod:`repro.bench.gate`: 20% events/sec
+tolerance, exact virtual counts).
 
 The matrix is intentionally smaller than the DAG one — the broadcast
 algorithms cost Θ(N) messages per entry, so their interesting size range ends
@@ -21,11 +21,7 @@ from typing import Any, Dict, List, Optional, Sequence
 
 from repro.analysis.theory import upper_bound_messages
 from repro.baselines import build_grid_quorums
-from repro.bench.throughput import (
-    bench_workload_spec,
-    measure_fastest,
-    min_merge_documents,
-)
+from repro.bench.throughput import bench_workload_spec, measure_fastest
 from repro.spec import ExperimentSpec, TopologySpec
 from repro.topology.metrics import diameter
 
@@ -35,10 +31,8 @@ __all__ = [
     "BaselineScenarioSpec",
     "baseline_default_matrix",
     "baseline_smoke_matrix",
-    "min_merge_documents",  # re-exported; the generic merge lives in throughput
     "run_baseline_benchmark",
     "run_baseline_scenario",
-    "run_calibrated_baseline_benchmark",
 ]
 
 #: Every algorithm of the paper's comparison except the DAG itself, which has
@@ -213,38 +207,3 @@ def run_baseline_benchmark(
         "repeat": repeat,
         "scenarios": scenarios,
     }
-
-
-def run_calibrated_baseline_benchmark(
-    *,
-    matrix: Optional[Sequence[BaselineScenarioSpec]] = None,
-    repeat: int = 3,
-    runs: int = 4,
-    scheduler: str = "auto",
-    verbose: bool = False,
-) -> Dict[str, Any]:
-    """Run the matrix ``runs`` times and min-merge into a committed floor.
-
-    This is how ``BENCH_baselines.json`` is produced (``repro bench
-    --baselines --calibrate N``): single-run rates on a busy machine are too
-    noisy to gate against, so the committed reference records each scenario's
-    minimum observed rate, annotated in the document's ``calibration`` field.
-    """
-    if runs < 1:
-        raise ValueError(f"runs must be >= 1, got {runs}")
-    documents = []
-    for index in range(runs):
-        if verbose:
-            print(f"calibration run {index + 1}/{runs}:")
-        documents.append(
-            run_baseline_benchmark(
-                matrix=matrix, repeat=repeat, scheduler=scheduler, verbose=verbose
-            )
-        )
-    merged = min_merge_documents(documents)
-    merged["calibration"] = (
-        f"per-scenario minimum events/sec across {runs} benchmark runs "
-        f"(repeat={repeat} each), making the committed rates a conservative "
-        "floor for the regression gate"
-    )
-    return merged

@@ -19,17 +19,17 @@ Two questions the throughput benchmark cannot answer:
   the acceptance criterion of the robustness milestone.
 
 Everything deterministic in the document (counts, finish times, fault-log
-digests, recovery metrics) is gated exactly by :func:`check_fault_baseline`;
+digests, recovery metrics) is gated exactly by :mod:`repro.bench.gate`;
 only the events/sec rates carry a tolerance, like the throughput gate.
 ``BENCH_faults.json`` at the repository root is the committed reference
-(regenerate with ``repro bench --faults --write BENCH_faults.json``).
+(regenerate with ``repro bench --faults --output BENCH_faults.json``).
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Any, Dict, Iterable, List, Optional, Sequence
+from typing import Any, Dict, List, Optional, Sequence
 
 from repro.baselines.base import registry
 from repro.sim.faults import FaultController
@@ -211,101 +211,3 @@ def run_fault_benchmark(
         "generated_by": "repro bench --faults",
         "scenarios": rows,
     }
-
-
-def deterministic_fault_document(document: Dict[str, Any]) -> Dict[str, Any]:
-    """The fault-bench document minus host-dependent fields.
-
-    Same contract as the sweep's ``deterministic_document``: two runs of the
-    same matrix — any scheduler, any machine — must agree byte-for-byte on
-    the canonical JSON of this projection.
-    """
-    stripped = {
-        key: value
-        for key, value in document.items()
-        if key != "generated_by"
-    }
-    stripped["scenarios"] = [
-        {key: value for key, value in row.items() if key != "timing"}
-        for row in document["scenarios"]
-    ]
-    return stripped
-
-
-#: Deterministic row fields gated exactly (None-safe equality).
-_EXACT_FIELDS = (
-    "entries",
-    "messages",
-    "events",
-    "finished_at",
-    "total_faults",
-    "fault_log_sha256",
-    "unserved_nodes",
-    "lost_requests",
-    "protocol_error",
-)
-_EXACT_RECOVERY_FIELDS = (
-    "token_lost_at",
-    "regenerated_at",
-    "new_holder",
-    "reissued",
-    "time_to_liveness",
-)
-
-
-def check_fault_baseline(
-    current: Iterable[Dict[str, Any]],
-    committed: Dict[str, Any],
-    *,
-    tolerance: float = 0.5,
-) -> List[str]:
-    """Compare fresh fault rows against the committed ``BENCH_faults.json``.
-
-    Everything virtual-time (counts, digests, recovery metrics) must match
-    *exactly* — a difference means fault replay is no longer deterministic,
-    or recovery behaviour changed.  Only events/sec gets a (generous)
-    tolerance; fault cells are small, so their rates are noisier than the
-    throughput matrix's.
-    """
-    committed_by_name = {
-        row["scenario"]: row for row in committed.get("scenarios", [])
-    }
-    problems: List[str] = []
-    for row in current:
-        reference = committed_by_name.get(row["scenario"])
-        if reference is None:
-            continue
-        for field in _EXACT_FIELDS:
-            if row.get(field) != reference.get(field):
-                problems.append(
-                    f"{row['scenario']}: {field} {row.get(field)!r} != committed "
-                    f"{reference.get(field)!r} (fault replay no longer "
-                    "deterministic?)"
-                )
-        current_recovery = row.get("recovery")
-        committed_recovery = reference.get("recovery")
-        if (current_recovery is None) != (committed_recovery is None):
-            problems.append(
-                f"{row['scenario']}: recovery section "
-                f"{'appeared' if current_recovery else 'disappeared'} "
-                "relative to the committed document"
-            )
-        elif current_recovery is not None:
-            for field in _EXACT_RECOVERY_FIELDS:
-                if current_recovery.get(field) != committed_recovery.get(field):
-                    problems.append(
-                        f"{row['scenario']}: recovery.{field} "
-                        f"{current_recovery.get(field)!r} != committed "
-                        f"{committed_recovery.get(field)!r}"
-                    )
-        reference_rate = (reference.get("timing") or {}).get("events_per_sec")
-        current_rate = (row.get("timing") or {}).get("events_per_sec")
-        if reference_rate and current_rate is not None:
-            floor = reference_rate * (1.0 - tolerance)
-            if current_rate < floor:
-                problems.append(
-                    f"{row['scenario']}: {current_rate:,.0f} ev/s is below "
-                    f"{floor:,.0f} (committed {reference_rate:,.0f} "
-                    f"- {tolerance:.0%} tolerance)"
-                )
-    return problems

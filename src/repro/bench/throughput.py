@@ -22,13 +22,11 @@ committed baseline in ``benchmarks/seed_baseline.json``.
 
 from __future__ import annotations
 
-import copy
-import json
 import resource
 import sys
 import time
 from dataclasses import asdict, dataclass
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.sim.latency import ConstantLatency, UniformLatency
 from repro.sim.rng import SeededRNG
@@ -522,9 +520,7 @@ def run_benchmark(
 
     if seed_baseline is not None:
         document["seed_baseline"] = seed_baseline
-        acceptance = _acceptance_summary(scenarios, seed_baseline)
-        if acceptance is not None:
-            document["acceptance"] = acceptance
+        add_acceptance(document, seed_baseline)
         if verify_determinism:
             recorded = seed_baseline.get("fingerprint")
             document["determinism"]["matches_seed"] = recorded == fingerprint
@@ -556,138 +552,15 @@ def _profile_rows(profiler, *, top: int = 20) -> List[Dict[str, Any]]:
     return rows[:top]
 
 
-def min_merge_documents(documents: Sequence[Dict[str, Any]]) -> Dict[str, Any]:
-    """Merge benchmark documents into a per-scenario-minimum-rate floor.
+def add_acceptance(document: Dict[str, Any], seed_baseline: Dict[str, Any]) -> None:
+    """Set the document's ``acceptance`` section from its current rates.
 
-    Virtual-time counts (``events``/``messages``/``entries``) must agree
-    across the documents (they are deterministic; disagreement means the
-    simulation drifted between runs and the merge raises).  Wall-clock fields
-    take the slowest run's values, so the merged rates are a conservative
-    floor for the regression gate's tolerance check.  Works for both the DAG
-    and the baseline documents (their rows share the rate fields).
+    A calibration calls this again on the merged document, so the section
+    reflects the committed floor rather than the first run.
     """
-    if not documents:
-        raise ValueError("min_merge_documents needs at least one document")
-    merged = copy.deepcopy(documents[0])
-    for document in documents[1:]:
-        if len(document["scenarios"]) != len(merged["scenarios"]):
-            raise ValueError("documents cover different scenario matrices")
-        for row, other in zip(merged["scenarios"], document["scenarios"]):
-            if row["scenario"] != other["scenario"]:
-                raise ValueError(
-                    f"scenario order mismatch: {row['scenario']!r} vs "
-                    f"{other['scenario']!r}"
-                )
-            for field in ("events", "messages", "entries"):
-                if row[field] != other[field]:
-                    raise ValueError(
-                        f"{row['scenario']}: {field} {row[field]} != "
-                        f"{other[field]} (simulation no longer deterministic?)"
-                    )
-            if other["events_per_sec"] < row["events_per_sec"]:
-                for field in (
-                    "events_per_sec",
-                    "messages_per_sec",
-                    "wall_seconds",
-                    "peak_rss_kb",
-                ):
-                    row[field] = other[field]
-    return merged
-
-
-def run_calibrated_benchmark(
-    *,
-    matrix: Optional[Sequence[ScenarioSpec]] = None,
-    repeat: int = 3,
-    runs: int = 4,
-    seed_baseline: Optional[Dict[str, Any]] = None,
-    scheduler: str = "auto",
-    node_backend: str = "auto",
-    verbose: bool = False,
-) -> Dict[str, Any]:
-    """Run the DAG matrix ``runs`` times and min-merge into a committed floor.
-
-    This is how ``BENCH_throughput.json`` is (re)produced (``repro bench
-    --calibrate N``): single-run rates on a busy machine are too noisy to
-    gate against, so the committed reference records each scenario's minimum
-    observed rate.  The acceptance section is recomputed from the merged
-    rates; the determinism sections come from the first run (they are
-    rate-independent).
-    """
-    if runs < 1:
-        raise ValueError(f"runs must be >= 1, got {runs}")
-    documents = []
-    for index in range(runs):
-        if verbose:
-            print(f"calibration run {index + 1}/{runs}:")
-        documents.append(
-            run_benchmark(
-                matrix=matrix,
-                repeat=repeat,
-                seed_baseline=seed_baseline,
-                scheduler=scheduler,
-                node_backend=node_backend,
-                # The fingerprint/equivalence replays are rate-independent:
-                # run them once, not once per calibration pass.
-                verify_determinism=index == 0,
-                verbose=verbose,
-            )
-        )
-    merged = min_merge_documents(documents)
-    if seed_baseline is not None:
-        acceptance = _acceptance_summary(merged["scenarios"], seed_baseline)
-        if acceptance is not None:
-            merged["acceptance"] = acceptance
-    merged["calibration"] = (
-        f"per-scenario minimum events/sec across {runs} benchmark runs "
-        f"(repeat={repeat} each), making the committed rates a conservative "
-        "floor for the regression gate"
-    )
-    return merged
-
-
-def check_against_baseline(
-    current: Iterable[Dict[str, Any]],
-    committed: Dict[str, Any],
-    *,
-    tolerance: float = 0.2,
-) -> List[str]:
-    """Compare fresh scenario measurements against a committed document.
-
-    Returns a list of human-readable regression descriptions; empty means the
-    run is within ``tolerance`` (relative events/sec drop) everywhere.  Every
-    scenario is rate-gated: millisecond-scale cells are trustworthy because
-    :func:`measure_fastest` re-times them over a
-    :data:`MIN_MEASUREMENT_WINDOW_SECONDS` replay window.
-    """
-    committed_by_name = {
-        row["scenario"]: row for row in committed.get("scenarios", [])
-    }
-    problems: List[str] = []
-    for row in current:
-        reference = committed_by_name.get(row["scenario"])
-        if reference is None:
-            continue
-        floor = reference["events_per_sec"] * (1.0 - tolerance)
-        if row["events_per_sec"] < floor:
-            problems.append(
-                f"{row['scenario']}: {row['events_per_sec']:,.0f} ev/s is below "
-                f"{floor:,.0f} (committed {reference['events_per_sec']:,.0f} "
-                f"- {tolerance:.0%} tolerance)"
-            )
-        for field in ("events", "messages", "entries"):
-            if row[field] != reference[field]:
-                problems.append(
-                    f"{row['scenario']}: {field} {row[field]} != committed "
-                    f"{reference[field]} (simulation no longer deterministic?)"
-                )
-    return problems
-
-
-def load_json(path: str) -> Dict[str, Any]:
-    """Small helper so CLI and CI share one loader."""
-    with open(path, "r", encoding="utf-8") as handle:
-        return json.load(handle)
+    acceptance = _acceptance_summary(document["scenarios"], seed_baseline)
+    if acceptance is not None:
+        document["acceptance"] = acceptance
 
 
 def _acceptance_summary(

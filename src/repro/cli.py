@@ -190,15 +190,15 @@ def cmd_bench(args: argparse.Namespace) -> int:
 
     from repro.bench import (
         default_matrix,
+        gate,
         large_matrix,
         run_benchmark,
-        run_calibrated_benchmark,
         smoke_matrix,
         xlarge_matrix,
         xxlarge_matrix,
         xxxlarge_matrix,
     )
-    from repro.bench.throughput import load_json
+    from repro.bench.throughput import add_acceptance
 
     if args.check and not os.path.exists(args.check):
         print(f"error: --check file {args.check!r} does not exist", file=sys.stderr)
@@ -254,7 +254,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
         matrix = default_matrix()
     seed_baseline = None
     if args.seed_baseline and os.path.exists(args.seed_baseline):
-        seed_baseline = load_json(args.seed_baseline)
+        seed_baseline = gate.load(args.seed_baseline)
     elif args.seed_baseline:
         print(
             f"note: seed baseline {args.seed_baseline!r} not found; "
@@ -263,15 +263,23 @@ def cmd_bench(args: argparse.Namespace) -> int:
         )
 
     if args.calibrate is not None:
-        document = run_calibrated_benchmark(
-            matrix=matrix,
-            repeat=args.repeat,
-            runs=args.calibrate,
-            seed_baseline=seed_baseline,
-            scheduler=args.scheduler,
-            node_backend=args.node_backend,
+        document = gate.calibrate(
+            lambda index: run_benchmark(
+                matrix=matrix,
+                repeat=args.repeat,
+                seed_baseline=seed_baseline,
+                scheduler=args.scheduler,
+                node_backend=args.node_backend,
+                # The fingerprint/equivalence replays are rate-independent:
+                # run them once, not once per calibration pass.
+                verify_determinism=index == 0,
+                verbose=True,
+            ),
+            args.calibrate,
             verbose=True,
         )
+        if seed_baseline is not None:
+            add_acceptance(document, seed_baseline)
     else:
         document = run_benchmark(
             matrix=matrix,
@@ -312,22 +320,21 @@ def cmd_bench(args: argparse.Namespace) -> int:
                 f"{acceptance['speedup']:.2f}x (target {acceptance['target_speedup']:.1f}x)"
             )
 
-    status = max(status, _check_and_write_bench(document, args))
+    status = max(status, _gate_document(document, args))
     return status
 
 
-def _check_and_write_bench(document, args: argparse.Namespace) -> int:
-    """Shared ``--check`` / ``--output`` handling for both bench matrices."""
-    import json
-
-    from repro.bench import check_against_baseline
-    from repro.bench.throughput import load_json
+def _gate_document(document, args: argparse.Namespace) -> int:
+    """``--check`` and ``--output`` for every bench document kind."""
+    from repro.bench import gate
 
     status = 0
     if args.check:
-        committed = load_json(args.check)
-        problems = check_against_baseline(
-            document["scenarios"], committed, tolerance=args.tolerance
+        problems = gate.check(
+            document,
+            gate.load(args.check),
+            tolerance=args.tolerance,
+            latency_tolerance=getattr(args, "latency_tolerance", None),
         )
         if problems:
             print(f"Regression check against {args.check} FAILED:")
@@ -336,22 +343,18 @@ def _check_and_write_bench(document, args: argparse.Namespace) -> int:
             status = 1
         else:
             print(f"Regression check against {args.check} passed "
-                  f"(tolerance {args.tolerance:.0%}).")
-
+                  f"({document['schema']} rules).")
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            json.dump(document, handle, indent=2)
-            handle.write("\n")
+        gate.write(document, args.output)
         print(f"Wrote {args.output}")
     return status
 
 
 def _bench_setup_only(args: argparse.Namespace) -> int:
     """The ``repro bench --setup-only`` path: construction-only benchmark."""
-    import json
-
     from repro.bench import (
         construction_matrix,
+        gate,
         run_setup_benchmark,
         xlarge_matrix,
         xxlarge_matrix,
@@ -400,23 +403,14 @@ def _bench_setup_only(args: argparse.Namespace) -> int:
             print(f"  - {problem}")
         status = 1
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            json.dump(document, handle, indent=2)
-            handle.write("\n")
+        gate.write(document, args.output)
         print(f"Wrote {args.output}")
     return status
 
 
 def _bench_faults(args: argparse.Namespace) -> int:
     """The ``repro bench --faults`` path: degradation + recovery matrix."""
-    import json
-
-    from repro.bench import (
-        check_fault_baseline,
-        run_fault_benchmark,
-        smoke_fault_matrix,
-    )
-    from repro.bench.throughput import load_json
+    from repro.bench import run_fault_benchmark, smoke_fault_matrix
 
     if args.baselines or args.calibrate is not None or args.profile:
         print(
@@ -437,30 +431,7 @@ def _bench_faults(args: argparse.Namespace) -> int:
     document = run_fault_benchmark(
         matrix=matrix, scheduler=args.scheduler, verbose=True
     )
-
-    status = 0
-    if args.check:
-        committed = load_json(args.check)
-        problems = check_fault_baseline(
-            document["scenarios"], committed, tolerance=args.tolerance
-        )
-        if problems:
-            print(f"Fault-bench check against {args.check} FAILED:")
-            for problem in problems:
-                print(f"  - {problem}")
-            status = 1
-        else:
-            print(
-                f"Fault-bench check against {args.check} passed "
-                "(deterministic fields exact, rate floor "
-                f"{args.tolerance:.0%})."
-            )
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            json.dump(document, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        print(f"Wrote {args.output}")
-    return status
+    return _gate_document(document, args)
 
 
 def _bench_baselines(args: argparse.Namespace) -> int:
@@ -468,8 +439,8 @@ def _bench_baselines(args: argparse.Namespace) -> int:
     from repro.bench import (
         baseline_default_matrix,
         baseline_smoke_matrix,
+        gate,
         run_baseline_benchmark,
-        run_calibrated_baseline_benchmark,
     )
 
     if args.large:
@@ -496,18 +467,16 @@ def _bench_baselines(args: argparse.Namespace) -> int:
         )
         return 2
     matrix = baseline_smoke_matrix() if args.smoke else baseline_default_matrix()
-    if args.calibrate is not None:
-        document = run_calibrated_baseline_benchmark(
-            matrix=matrix,
-            repeat=args.repeat,
-            runs=args.calibrate,
-            scheduler=args.scheduler,
-            verbose=True,
-        )
-    else:
-        document = run_baseline_benchmark(
+
+    def run_once(index: int = 0):
+        return run_baseline_benchmark(
             matrix=matrix, repeat=args.repeat, scheduler=args.scheduler, verbose=True
         )
+
+    if args.calibrate is not None:
+        document = gate.calibrate(run_once, args.calibrate, verbose=True)
+    else:
+        document = run_once()
 
     outside = [
         row["scenario"] for row in document["scenarios"] if not row["within_bound"]
@@ -517,13 +486,13 @@ def _bench_baselines(args: argparse.Namespace) -> int:
         # an average, so exceeding one flags a suspect implementation.
         print(f"note: measured average exceeds the paper's worst-case bound: {outside}")
 
-    return _check_and_write_bench(document, args)
+    return _gate_document(document, args)
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     """Run the sharded multi-process comparison sweep (see benchmarks/README.md)."""
     from repro.analysis.sweep import format_sweep_tables, sweep_summary_row
-    from repro.bench.throughput import load_json
+    from repro.bench import gate
     from repro.exceptions import ReproError
     from repro.sweep import (
         default_sweep_matrix,
@@ -541,7 +510,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     )
 
     if args.report:
-        document = load_json(args.report)
+        document = gate.load(args.report)
         print(format_sweep_tables(document))
         return 1 if document.get("failures") else 0
 
@@ -551,7 +520,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         try:
             shards = []
             for path in args.merge:
-                document = load_json(path)
+                document = gate.load(path)
                 rows = document.get("scenarios") if isinstance(document, dict) else None
                 if not isinstance(rows, list) or any(
                     not isinstance(row, dict) or "scenario" not in row for row in rows
@@ -1093,14 +1062,10 @@ def _obs_runtime(args: argparse.Namespace) -> int:
 
 def cmd_lockbench(args: argparse.Namespace) -> int:
     """Benchmark the networked lock service (see benchmarks/README.md)."""
-    import json
-
-    from repro.bench.throughput import load_json
+    from repro.bench import gate
     from repro.runtime.lockbench import (
-        check_lockbench_baseline,
         default_lockbench_matrix,
         fault_lockbench_matrix,
-        run_calibrated_lockbench,
         run_lockbench,
         smoke_lockbench_matrix,
         write_lockbench_trace,
@@ -1123,13 +1088,14 @@ def cmd_lockbench(args: argparse.Namespace) -> int:
         matrix = default_lockbench_matrix()
     trace = [] if args.trace else None
     if args.calibrate is not None:
-        document = run_calibrated_lockbench(
-            matrix=matrix, runs=args.calibrate, verbose=True
+        document = gate.calibrate(
+            lambda index: run_lockbench(matrix=matrix, verbose=True),
+            args.calibrate,
+            verbose=True,
         )
     else:
         document = run_lockbench(matrix=matrix, verbose=True, trace=trace)
 
-    status = 0
     if args.trace:
         write_lockbench_trace(
             trace or [],
@@ -1140,31 +1106,7 @@ def cmd_lockbench(args: argparse.Namespace) -> int:
             },
         )
         print(f"Wrote {args.trace} ({len(trace or [])} trace events)")
-    if args.check:
-        committed = load_json(args.check)
-        problems = check_lockbench_baseline(
-            document["scenarios"],
-            committed,
-            tolerance=args.tolerance,
-            latency_tolerance=args.latency_tolerance,
-        )
-        if problems:
-            print(f"Lockbench check against {args.check} FAILED:")
-            for problem in problems:
-                print(f"  - {problem}")
-            status = 1
-        else:
-            print(
-                f"Lockbench check against {args.check} passed "
-                f"(op counts exact, rate floor {args.tolerance:.0%}, "
-                f"p99 ceiling +{args.latency_tolerance:.0%})."
-            )
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            json.dump(document, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        print(f"Wrote {args.output}")
-    return status
+    return _gate_document(document, args)
 
 
 # --------------------------------------------------------------------------- #
@@ -1460,10 +1402,18 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument(
         "--check",
         default=None,
-        help="compare against a committed BENCH_throughput.json; non-zero exit on regression",
+        help="compare against the committed document of the same kind "
+             "(BENCH_throughput.json, BENCH_baselines.json or "
+             "BENCH_faults.json); non-zero exit on regression",
     )
-    bench.add_argument("--tolerance", type=float, default=0.2,
-                       help="allowed relative events/sec drop for --check")
+    bench.add_argument(
+        "--tolerance",
+        type=float,
+        default=None,
+        help="allowed relative events/sec drop for --check (default: the "
+             "document kind's, 0.2 for the DAG and baseline matrices, 0.8 "
+             "for --faults)",
+    )
     bench.set_defaults(func=cmd_bench)
 
     sweep = subparsers.add_parser(
@@ -1610,15 +1560,16 @@ def build_parser() -> argparse.ArgumentParser:
     lockbench.add_argument(
         "--tolerance",
         type=float,
-        default=0.5,
-        help="allowed locks/sec drop below the committed floor (default 0.5)",
+        default=None,
+        help="allowed locks/sec and availability drop below the committed "
+             "floors (default 0.5)",
     )
     lockbench.add_argument(
         "--latency-tolerance",
         type=float,
-        default=3.0,
-        help="allowed acquire-p99 rise over the committed ceiling as a "
-             "fraction (default 3.0, i.e. 4x)",
+        default=None,
+        help="allowed acquire-p99 and time-to-takeover rise over the "
+             "committed ceilings as a fraction (default 3.0, i.e. 4x)",
     )
     lockbench.add_argument("--output", default=None,
                            help="write the document to this JSON file")

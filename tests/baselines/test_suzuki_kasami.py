@@ -70,6 +70,8 @@ def test_mutual_exclusion_and_completion_under_contention(system):
         served.append(current[0])
         system.release(current[0])
     assert sorted(served) == system.node_ids
+    # Section 6.4: the token carries per-node state, at least 2N fields.
+    assert system.metrics.mean_payload_size("PRIVILEGE") >= 2 * len(system.node_ids)
 
 
 def test_token_queue_accumulates_waiting_requests(system):

@@ -43,6 +43,11 @@ def test_full_comparison_pipeline_produces_consistent_tables():
     workload = generator.poisson(total_requests=25, mean_interarrival=4.0)
     results = compare_algorithms(topology, workload)
     assert {result.algorithm for result in results} == set(registry.names())
+    # The shape of the Chapter 2 comparison: every algorithm serves the same
+    # workload, and the DAG algorithm sends the fewest messages per entry.
+    assert {result.completed_entries for result in results} == {25}
+    per_entry = {result.algorithm: result.messages_per_entry for result in results}
+    assert per_entry["dag"] == min(per_entry.values())
     summaries = summarize_by_algorithm(results)
     table = format_table([summary.as_row() for summary in summaries.values()])
     for name in registry.names():
@@ -134,3 +139,6 @@ def test_protocol_survives_a_long_mixed_stress_run():
         checker.check()
     assert system.metrics.completed_entries == 120
     assert checker.checks_performed > 500
+    # Section 6.4: a REQUEST carries two integers, the PRIVILEGE nothing.
+    assert system.metrics.mean_payload_size("REQUEST") == 2.0
+    assert system.metrics.mean_payload_size("PRIVILEGE") == 0.0

@@ -8,13 +8,11 @@ import pytest
 
 from repro.bench import (
     ACCEPTANCE_SCENARIO,
-    run_calibrated_benchmark,
     BASELINE_ALGORITHMS,
     BaselineScenarioSpec,
     ScenarioSpec,
     baseline_default_matrix,
     baseline_smoke_matrix,
-    check_against_baseline,
     default_matrix,
     determinism_fingerprint,
     large_matrix,
@@ -22,6 +20,7 @@ from repro.bench import (
     run_baseline_scenario,
     run_benchmark,
     run_scenario,
+    gate,
     smoke_matrix,
 )
 from repro.bench.throughput import build_topology, build_workload
@@ -98,41 +97,42 @@ def test_baseline_benchmark_document_checks_like_the_dag_one():
     assert document["schema"] == "bench-baselines/v1"
     assert len(document["scenarios"]) == 1
     json.dumps(document)  # must be serialisable
-    # The committed-document gate reuses check_against_baseline unchanged.
-    assert check_against_baseline(document["scenarios"], document) == []
-    drifted = [dict(document["scenarios"][0], events=1)]
-    problems = check_against_baseline(drifted, document)
+    # The committed-document gate checks it with the DAG matrix's rules.
+    assert gate.check(document, document) == []
+    drifted = dict(document, scenarios=[dict(document["scenarios"][0], events=1)])
+    problems = gate.check(drifted, document)
     assert any("deterministic" in problem for problem in problems)
 
 
 def test_min_merge_documents_keeps_slowest_rates_and_checks_counts():
-    from repro.bench import min_merge_documents
-
-    fast = {"scenarios": [{"scenario": "a", "events": 10, "messages": 5,
+    fast = {"schema": "bench-throughput/v1",
+            "scenarios": [{"scenario": "a", "events": 10, "messages": 5,
                            "entries": 2, "events_per_sec": 1000.0,
                            "messages_per_sec": 500.0, "wall_seconds": 0.01,
                            "peak_rss_kb": 100}]}
-    slow = {"scenarios": [dict(fast["scenarios"][0], events_per_sec=700.0,
-                               messages_per_sec=350.0, wall_seconds=0.014,
-                               peak_rss_kb=110)]}
-    merged = min_merge_documents([fast, slow])
+    slow = dict(fast, scenarios=[dict(fast["scenarios"][0], events_per_sec=700.0,
+                                      messages_per_sec=350.0, wall_seconds=0.014,
+                                      peak_rss_kb=110)])
+    merged = gate.merge([fast, slow])
     assert merged["scenarios"][0]["events_per_sec"] == 700.0
     assert merged["scenarios"][0]["wall_seconds"] == 0.014
     assert fast["scenarios"][0]["events_per_sec"] == 1000.0  # inputs untouched
-    drifted = {"scenarios": [dict(fast["scenarios"][0], events=11)]}
+    drifted = dict(fast, scenarios=[dict(fast["scenarios"][0], events=11)])
     with pytest.raises(ValueError):
-        min_merge_documents([fast, drifted])
+        gate.merge([fast, drifted])
 
 
 def test_calibrated_baseline_benchmark_annotates_the_floor():
-    from repro.bench import run_calibrated_baseline_benchmark
-
     matrix = [BaselineScenarioSpec("centralized", 10, "heavy")]
-    document = run_calibrated_baseline_benchmark(matrix=matrix, repeat=1, runs=2)
-    assert "minimum events/sec across 2 benchmark runs" in document["calibration"]
+
+    def run_once(index):
+        return run_baseline_benchmark(matrix=matrix, repeat=1)
+
+    document = gate.calibrate(run_once, 2)
+    assert "minimum events_per_sec across 2 benchmark runs" in document["calibration"]
     assert len(document["scenarios"]) == 1
     with pytest.raises(ValueError):
-        run_calibrated_baseline_benchmark(matrix=matrix, repeat=1, runs=0)
+        gate.calibrate(run_once, 0)
 
 
 def test_scenario_workloads_are_deterministic():
@@ -190,6 +190,7 @@ def test_benchmark_document_structure(tmp_path):
 
 def test_check_against_baseline_flags_regressions():
     committed = {
+        "schema": "bench-throughput/v1",
         "scenarios": [
             {
                 "scenario": "star-n10-heavy",
@@ -206,9 +207,12 @@ def test_check_against_baseline_flags_regressions():
              "events": 100, "messages": 50, "entries": 10}]
     drifted = [{"scenario": "star-n10-heavy", "events_per_sec": 1000.0,
                 "events": 101, "messages": 50, "entries": 10}]
-    assert check_against_baseline(ok, committed, tolerance=0.2) == []
-    assert len(check_against_baseline(slow, committed, tolerance=0.2)) == 1
-    problems = check_against_baseline(drifted, committed, tolerance=0.2)
+    def fresh(rows):
+        return {"schema": "bench-throughput/v1", "scenarios": rows}
+
+    assert gate.check(fresh(ok), committed, tolerance=0.2) == []
+    assert len(gate.check(fresh(slow), committed, tolerance=0.2)) == 1
+    problems = gate.check(fresh(drifted), committed, tolerance=0.2)
     assert any("deterministic" in p for p in problems)
 
 
@@ -281,8 +285,13 @@ def test_profiled_benchmark_embeds_hotspots(capsys):
 
 
 def test_run_calibrated_benchmark_min_merges_the_dag_matrix():
-    document = run_calibrated_benchmark(
-        matrix=[ScenarioSpec("star", 20, "heavy")], repeat=1, runs=2
+    document = gate.calibrate(
+        lambda index: run_benchmark(
+            matrix=[ScenarioSpec("star", 20, "heavy")],
+            repeat=1,
+            verify_determinism=index == 0,
+        ),
+        2,
     )
     assert "calibration" in document
     assert len(document["scenarios"]) == 1

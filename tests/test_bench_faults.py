@@ -8,14 +8,14 @@ from repro.bench import (
     DEGRADATION_ALGORITHMS,
     FAULT_BENCH_SCHEMA,
     FaultScenarioSpec,
-    check_fault_baseline,
     default_fault_matrix,
-    deterministic_fault_document,
+    gate,
     run_fault_benchmark,
     run_fault_scenario,
     smoke_fault_matrix,
 )
 from repro.baselines import registry
+from repro.sweep import deterministic_document
 
 #: Small cells keep these tests fast; the committed document uses n=50/100k.
 SMALL_DEGRADATION = FaultScenarioSpec("dag", 9, "drop5")
@@ -68,10 +68,10 @@ def test_rows_are_deterministic_across_schedulers():
 def test_document_and_deterministic_projection():
     document = run_fault_benchmark(matrix=[SMALL_DEGRADATION])
     assert document["schema"] == FAULT_BENCH_SCHEMA
-    stripped = deterministic_fault_document(document)
+    stripped = deterministic_document(document)
     assert "generated_by" not in stripped
     assert all("timing" not in row for row in stripped["scenarios"])
-    again = deterministic_fault_document(
+    again = deterministic_document(
         run_fault_benchmark(matrix=[SMALL_DEGRADATION])
     )
     assert stripped == again
@@ -79,28 +79,27 @@ def test_document_and_deterministic_projection():
 
 def test_check_fault_baseline_gates_deterministic_fields_exactly():
     document = run_fault_benchmark(matrix=[SMALL_DEGRADATION, SMALL_RECOVERY])
-    assert check_fault_baseline(document["scenarios"], document) == []
+    assert gate.check(document, document) == []
 
     drifted = copy.deepcopy(document)
     drifted["scenarios"][0]["entries"] += 1
-    problems = check_fault_baseline(document["scenarios"], drifted)
+    problems = gate.check(document, drifted)
     assert len(problems) == 1 and "entries" in problems[0]
 
     regressed = copy.deepcopy(document)
     regressed["scenarios"][1]["recovery"]["time_to_liveness"] += 1.0
-    problems = check_fault_baseline(document["scenarios"], regressed)
+    problems = gate.check(document, regressed)
     assert len(problems) == 1 and "time_to_liveness" in problems[0]
 
-    # Unknown scenarios in the fresh run are ignored (matrix growth is not a
-    # regression); rate drops below the floor are.
-    assert check_fault_baseline(document["scenarios"], {"scenarios": []}) == []
+    # A committed document with none of the fresh scenarios compares nothing,
+    # so it fails; rate drops below the floor fail too.
+    problems = gate.check(document, dict(document, scenarios=[]))
+    assert len(problems) == 1 and "nothing was compared" in problems[0]
     slow = copy.deepcopy(document)
     for row in slow["scenarios"]:
         row["timing"]["events_per_sec"] *= 100
-    problems = check_fault_baseline(
-        document["scenarios"], slow, tolerance=0.5
-    )
-    assert problems and all("ev/s" in problem for problem in problems)
+    problems = gate.check(document, slow, tolerance=0.5)
+    assert problems and all("events_per_sec" in problem for problem in problems)
 
 
 def test_partition_heal_rows_are_in_the_matrices_and_the_committed_doc():

@@ -7,8 +7,9 @@ import pytest
 from repro.analysis.theory import (
     average_messages_centralized_star,
     average_messages_dag_star,
+    sync_delay_bounds,
 )
-from repro.topology import line, star
+from repro.topology import balanced_tree, line, radiating_star, star
 from repro.topology.metrics import diameter
 from repro.workload.scenarios import (
     average_messages_over_placements,
@@ -32,9 +33,14 @@ def test_worst_case_placement_spans_the_diameter():
 
 
 def test_worst_case_run_hits_the_paper_upper_bound():
-    topology, workload = worst_case_placement(line(8))
-    result = single_request_run("dag", topology, workload.requests[0].node)
-    assert result.total_messages == diameter(topology) + 1
+    # Section 6.1 and Figure 8: D + 1 messages for the DAG algorithm, 2D for
+    # Raymond's, so the line is the worst topology and the star the best.
+    for built in (line(8), star(9), radiating_star(arms=4, arm_length=2), balanced_tree(2, 3)):
+        topology, workload = worst_case_placement(built)
+        requester = workload.requests[0].node
+        d = diameter(topology)
+        assert single_request_run("dag", topology, requester).total_messages == d + 1
+        assert single_request_run("raymond", topology, requester).total_messages == 2 * d
 
 
 def test_single_request_run_counts_only_that_entry():
@@ -44,7 +50,7 @@ def test_single_request_run_counts_only_that_entry():
 
 
 def test_average_messages_match_section_6_2_formula_exactly():
-    for n in (3, 5, 9):
+    for n in (3, 5, 9, 17):
         measured = average_messages_over_placements("dag", star(n))
         assert measured == pytest.approx(average_messages_dag_star(n))
         measured_centralized = average_messages_over_placements("centralized", star(n))
@@ -52,15 +58,26 @@ def test_average_messages_match_section_6_2_formula_exactly():
 
 
 def test_heavy_demand_run_completes_all_rounds():
-    result = heavy_demand_run("dag", star(6), rounds=3)
-    assert result.completed_entries == 18
-    assert result.messages_per_entry <= 3.0
+    # Section 6.2: at most three messages per entry under heavy demand.
+    for algorithm in ("dag", "centralized"):
+        result = heavy_demand_run(algorithm, star(6), rounds=3)
+        assert result.completed_entries == 18
+        assert result.messages_per_entry <= 3.0
 
 
 def test_sync_delay_run_measures_a_waiting_entry():
-    result = sync_delay_run("dag", star(7))
-    assert len(result.sync_delays) == 1
-    assert result.sync_delays[0] == pytest.approx(1.0)
+    # Section 6.3's table on the star, then Raymond's delay growing with the
+    # diameter of a line while the DAG algorithm's stays at one message.
+    for algorithm, delay in sync_delay_bounds().items():
+        result = sync_delay_run(algorithm, star(7))
+        assert len(result.sync_delays) == 1
+        assert result.sync_delays[0] == pytest.approx(delay), algorithm
+    for n in (4, 8, 12):
+        topology = line(n, token_holder=1)
+        raymond = sync_delay_run("raymond", topology, first=2, second=n)
+        dag = sync_delay_run("dag", topology, first=2, second=n)
+        assert raymond.sync_delays == [pytest.approx(n - 2)]
+        assert dag.sync_delays == [pytest.approx(1.0)]
 
 
 def test_sync_delay_run_rejects_identical_nodes():
